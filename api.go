@@ -47,10 +47,8 @@
 // (LoadCheckpoint + SweepOptions.ResumeFrom), and both stream
 // incremental incumbents through a ProgressFunc. Failures use the
 // exported sentinel errors (ErrInvalidSpace, ErrNoFeasibleStart,
-// ErrCheckpointCorrupt) and support errors.Is. The legacy Optimize and
-// Exhaustive methods remain as deprecated context.Background() wrappers
-// with their historical semantics; new code should use the context
-// entrypoints.
+// ErrCheckpointCorrupt) and support errors.Is. A run without a
+// deadline passes context.Background().
 package tesa
 
 import (
@@ -200,8 +198,7 @@ func DefaultExperimentConfig() ExperimentConfig { return core.DefaultExperimentC
 
 // Sentinel errors of the search layer, matched with errors.Is. The
 // context-first entrypoints (Evaluator.OptimizeContext,
-// Evaluator.ExhaustiveContext) return them; the legacy Optimize and
-// Exhaustive wrappers preserve their historical results instead.
+// Evaluator.ExhaustiveContext) return them.
 var (
 	// ErrInvalidSpace marks an unsearchable design space or an
 	// off-space design point.

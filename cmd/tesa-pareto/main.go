@@ -19,11 +19,11 @@
 //	            [-surrogate] [-surrogate-k 8]
 //	            [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
 //
-// -job runs a versioned jobspec document (tesa.jobspec/v1, kind
-// "pareto") instead of per-setting flags: the same file drives this
-// command, the library, and tesa-server to an identical front. Config
-// flags conflict with -job; operational flags (-progress, -memo*,
-// telemetry) compose with it.
+// The config flags and -job are two spellings of one jobspec
+// (tesa.jobspec/v1, kind "pareto"): either way the run comes from
+// Spec.Resolve, so the same spec drives this command, the library, and
+// tesa-server to an identical front. Config flags conflict with -job;
+// operational flags (-progress, -memo*, telemetry) compose with it.
 //
 // -surrogate enables the learned ranking surrogate: an online model
 // trained from completed evaluations (and replayed from -memo-dir
@@ -66,64 +66,25 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
-	"time"
 
 	"tesa"
 	"tesa/internal/cli"
+	"tesa/internal/jobspec"
 )
 
 func main() {
 	var (
-		tech      = flag.String("tech", "2d", "integration technology: 2d or 3d")
-		freqMHz   = flag.Float64("freq", 400, "operating frequency in MHz")
-		fps       = flag.Float64("fps", 30, "latency constraint in frames per second")
-		tempC     = flag.Float64("temp", 75, "thermal budget in Celsius")
-		front     = flag.String("front", "weights", "front engine: weights (Eq. 6 sweep) or nsga2 (multi-objective population)")
-		points    = flag.Int("points", 9, "number of weight settings to sweep (weights front)")
-		pop       = flag.Int("pop", 0, "NSGA-II population size (0 = default; nsga2 front)")
-		gens      = flag.Int("gens", 0, "NSGA-II generations (0 = default; nsga2 front)")
-		surrogate = flag.Bool("surrogate", false, "learned ranking surrogate: order proposals best-predicted-first (results unchanged)")
-		surK      = flag.Int("surrogate-k", 0, "surrogate neighborhood size (0 = default; with -surrogate)")
-		grid      = flag.Int("grid", 32, "thermal grid cells per side")
-		seed      = flag.Int64("seed", 1, "optimizer seed")
-		progress  = flag.Bool("progress", false, "stream per-weight incumbents to stderr")
-		faultSpec = flag.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
-		maxFail   = flag.Int("max-failures", 0, "abort a weight setting once more than this many points are quarantined (0 = unlimited)")
-		failFast  = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
-		stageTO   = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast      = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band      = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
-		obs       = cli.ObservabilityFlags()
-		mf        = cli.MemoFlagsRegister()
-		jobPath   = cli.JobFlag()
+		cfg      = cli.ParetoFlags(flag.CommandLine)
+		progress = flag.Bool("progress", false, "stream per-weight incumbents to stderr")
+		obs      = cli.ObservabilityFlags()
+		mf       = cli.MemoFlagsRegister()
 	)
 	flag.Parse()
 
-	job, err := cli.ResolveJob(*jobPath, "pareto",
-		"tech", "freq", "fps", "temp", "front", "points", "pop", "gens",
-		"grid", "seed", "faults", "max-failures", "fail-fast",
-		"stage-timeout", "thermal-fast", "surrogate-band",
-		"surrogate", "surrogate-k")
+	job, err := cfg.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if job != nil {
-		*front = job.ParetoFront
-		*points = job.ParetoPoints
-		*pop, *gens = job.ParetoPop, job.ParetoGens
-	}
-	switch *front {
-	case "weights":
-		if *points < 2 {
-			fmt.Fprintln(os.Stderr, "need at least 2 sweep points")
-			os.Exit(2)
-		}
-	case "nsga2":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -front %q (want weights or nsga2)\n", *front)
 		os.Exit(2)
 	}
 
@@ -131,7 +92,7 @@ func main() {
 	// remains valid, so a killed run loses only the unswept weights.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if job != nil && job.Deadline > 0 {
+	if job.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, job.Deadline)
 		defer cancel()
@@ -143,7 +104,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	tel := sess.Tel
 	store, memoDone, err := mf.Store()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -159,40 +119,14 @@ func main() {
 		}
 	}
 
-	base := tesa.DefaultOptions()
-	if strings.EqualFold(*tech, "3d") {
-		base.Tech = tesa.Tech3D
-	}
-	base.FreqHz = *freqMHz * 1e6
-	base.Grid = *grid
-	base.ThermalFast = *fast
-	base.SurrogateBandC = *band
-	base.Surrogate = *surrogate
-	base.SurrogateK = *surK
-	cons := tesa.DefaultConstraints()
-	cons.FPS = *fps
-	cons.TempBudgetC = *tempC
-	w := tesa.ARVRWorkload()
-	space := tesa.DefaultSpace()
-	if job != nil {
-		// The spec is the configuration: everything the config flags
-		// would have assembled comes from the resolved job instead.
-		base, cons, w, space = job.Opts, job.Cons, job.Workload, job.Space
-		*seed = job.Seed
-		*maxFail, *failFast, *stageTO = job.MaxFailures, job.FailFast, job.StageTimeout
-		*faultSpec = job.Faults
-	}
-	sess.Manifest.Set("space", space.Fingerprint())
-	sess.Manifest.Set("seed", *seed)
-	sess.Manifest.Set("workload", w.Name)
-	if *faultSpec != "" {
-		sess.Manifest.Set("faults", *faultSpec)
-	}
-	sess.Manifest.Set("front", *front)
+	sess.SetJob(job)
+	sess.Manifest.Set("front", job.ParetoFront)
+	// One store and hub across the whole front: the weight settings
+	// share every weight-independent sub-result.
+	rt := jobspec.Runtime{Store: store, Tel: sess.Tel}
 
-	if *front == "nsga2" {
-		runNSGA2(ctx, w, base, cons, space, *seed, *pop, *gens,
-			*faultSpec, *stageTO, *progress, store, tel, sess, finish)
+	if job.ParetoFront == "nsga2" {
+		runNSGA2(ctx, job, rt, *progress, sess, finish)
 		return
 	}
 
@@ -208,34 +142,16 @@ func main() {
 			}
 		}
 	}
-	for i := 0; i < *points; i++ {
-		// Sweep the weight angle from cost-only to DRAM-only.
-		frac := float64(i) / float64(*points-1)
-		opts := base
-		opts.Alpha = 1 - frac
-		opts.Beta = frac
-		if opts.Alpha == 0 {
-			opts.Alpha = 1e-9 // keep the objective well-defined
-		}
-		if opts.Beta == 0 {
-			opts.Beta = 1e-9
-		}
-		ev, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+	for i := 0; i < job.ParetoPoints; i++ {
+		weighted := *job
+		opts := &weighted.Opts
+		opts.Alpha, opts.Beta = jobspec.ParetoWeights(i, job.ParetoPoints)
+		ev, err := jobspec.NewEvaluator(&weighted, rt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ev.Instrument(tel)
-		if store != nil {
-			// One store across the whole front: the weight settings
-			// share every weight-independent sub-result.
-			ev.UseMemo(store)
-		}
-		if err := cli.ApplyFaults(ev, *faultSpec, *stageTO); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		optOpt := &tesa.OptimizeOptions{MaxFailures: *maxFail, FailFast: *failFast, Parallel: mf.StartWorkers()}
+		optOpt := &tesa.OptimizeOptions{MaxFailures: job.MaxFailures, FailFast: job.FailFast, Parallel: mf.StartWorkers()}
 		if *progress {
 			alpha, beta := opts.Alpha, opts.Beta
 			optOpt.Progress = func(p tesa.Progress) {
@@ -246,7 +162,7 @@ func main() {
 			}
 		}
 		optOpt.Progress = sess.Progress(optOpt.Progress)
-		res, err := ev.OptimizeContext(ctx, space, *seed, optOpt)
+		res, err := ev.OptimizeContext(ctx, job.Space, job.Seed, optOpt)
 		if res != nil {
 			// res is nil when the run is canceled mid-weight; reading
 			// its ledger unconditionally would crash on SIGINT.
@@ -258,7 +174,7 @@ func main() {
 			continue
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintf(os.Stderr, "interrupted at weight %d of %d; CSV above is complete for the swept weights\n",
-				i, *points)
+				i, job.ParetoPoints)
 			finish("interrupted")
 			os.Exit(130)
 		case err != nil:
@@ -296,23 +212,14 @@ func main() {
 // evolved population, and a CSV of the full-fidelity non-dominated
 // front over cost, DRAM power, and peak temperature. An infinite
 // crowding distance (an objective-extreme member) prints as "inf".
-func runNSGA2(ctx context.Context, w tesa.Workload, opts tesa.Options, cons tesa.Constraints,
-	space tesa.Space, seed int64, pop, gens int, faultSpec string, stageTO time.Duration,
-	progress bool, store *tesa.MemoStore, tel *tesa.Telemetry, sess *cli.Session, finish func(string)) {
-	ev, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+func runNSGA2(ctx context.Context, job *jobspec.Resolved, rt jobspec.Runtime, progress bool,
+	sess *cli.Session, finish func(string)) {
+	ev, err := jobspec.NewEvaluator(job, rt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ev.Instrument(tel)
-	if store != nil {
-		ev.UseMemo(store)
-	}
-	if err := cli.ApplyFaults(ev, faultSpec, stageTO); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fo := &tesa.FrontOptions{Pop: pop, Gens: gens}
+	fo := &tesa.FrontOptions{Pop: job.ParetoPop, Gens: job.ParetoGens}
 	if progress {
 		fo.Progress = func(p tesa.Progress) {
 			if p.Incumbent != nil {
@@ -322,7 +229,7 @@ func runNSGA2(ctx context.Context, w tesa.Workload, opts tesa.Options, cons tesa
 		}
 	}
 	fo.Progress = sess.Progress(fo.Progress)
-	frontMembers, err := ev.NSGA2FrontContext(ctx, space, seed, fo)
+	frontMembers, err := ev.NSGA2FrontContext(ctx, job.Space, job.Seed, fo)
 	switch {
 	case errors.Is(err, tesa.ErrNoFeasibleStart):
 		fmt.Fprintln(os.Stderr, "no feasible configuration: the front is empty")

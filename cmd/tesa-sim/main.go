@@ -25,7 +25,13 @@
 // write bit-identical logs. -draws N scores the point over N seeded
 // scenario draws and reports the distribution aggregate.
 //
-// Exit codes: 0 ok, 1 error, 3 the point does not fit the interposer.
+// The config flags and -job are two spellings of one jobspec
+// (tesa.jobspec/v1, kind "sim"): either way the run comes from
+// Spec.Resolve, exactly as tesa-server runs the same spec. Config flags
+// conflict with -job; -events, -json and the telemetry flags compose.
+//
+// Exit codes: 0 ok, 1 error (configuration errors included), 3 the
+// point does not fit the interposer.
 package main
 
 import (
@@ -35,69 +41,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
-	"tesa"
 	"tesa/internal/cli"
 	"tesa/internal/jobspec"
 )
 
-// tenantFlags collects repeated -tenant specs.
-type tenantFlags []string
-
-// String renders the accumulated specs for flag's usage output.
-func (t *tenantFlags) String() string { return strings.Join(*t, " ") }
-
-// Set appends one -tenant occurrence.
-func (t *tenantFlags) Set(v string) error {
-	*t = append(*t, v)
-	return nil
-}
-
-// parseTenant decodes one name:network:kind:rateRPS:slaSec spec.
-func parseTenant(spec string) (tesa.Tenant, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 5 {
-		return tesa.Tenant{}, fmt.Errorf("-tenant %q: want name:network:kind:rateRPS:slaSec", spec)
-	}
-	rate, err := strconv.ParseFloat(parts[3], 64)
-	if err != nil {
-		return tesa.Tenant{}, fmt.Errorf("-tenant %q: bad rate: %v", spec, err)
-	}
-	sla, err := strconv.ParseFloat(parts[4], 64)
-	if err != nil {
-		return tesa.Tenant{}, fmt.Errorf("-tenant %q: bad SLA: %v", spec, err)
-	}
-	return tesa.Tenant{
-		Name:    parts[0],
-		Network: parts[1],
-		Arrival: tesa.ArrivalSpec{Kind: strings.ToLower(parts[2]), RateRPS: rate},
-		SLASec:  sla,
-	}, nil
-}
-
 func main() {
-	var tenants tenantFlags
 	var (
-		dim      = flag.Int("dim", 200, "systolic array dimension")
-		ics      = flag.Int("ics", 1700, "inter-chiplet spacing in micrometers")
-		tech     = flag.String("tech", "2d", "integration technology: 2d or 3d")
-		freqMHz  = flag.Float64("freq", 400, "operating frequency in MHz")
-		fps      = flag.Float64("fps", 30, "latency constraint in frames per second")
-		tempC    = flag.Float64("temp", 75, "thermal budget in Celsius")
-		grid     = flag.Int("grid", 88, "thermal grid cells per side")
-		duration = flag.Float64("duration", 10, "simulated horizon in seconds")
-		dt       = flag.Float64("dt", 0.05, "thermal coupling tick in seconds")
-		seed     = flag.Int64("seed", 1, "scenario seed (same seed, same run)")
-		draws    = flag.Int("draws", 1, "score the point over this many seeded scenario draws")
-		trip     = flag.Float64("trip", 0, "DVFS throttle trip point in Celsius (0 = the -temp budget)")
-		events   = flag.String("events", "", "write the simulation event log as JSONL to this file")
-		jsonOut  = flag.Bool("json", false, "print the full wire-form result as JSON")
-		jobPath  = cli.JobFlag()
-		obs      = cli.ObservabilityFlags()
+		cfg     = cli.SimFlags(flag.CommandLine)
+		events  = flag.String("events", "", "write the simulation event log as JSONL to this file")
+		jsonOut = flag.Bool("json", false, "print the full wire-form result as JSON")
+		obs     = cli.ObservabilityFlags()
 	)
-	flag.Var(&tenants, "tenant", "add a traffic source: name:network:kind:rateRPS:slaSec (repeatable)")
 	flag.Parse()
 
 	sess, err := obs.Setup("tesa-sim", os.Stdout)
@@ -106,77 +61,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	job, err := cli.ResolveJob(*jobPath, jobspec.KindSim,
-		"dim", "ics", "tech", "freq", "fps", "temp", "grid",
-		"duration", "dt", "seed", "draws", "trip", "tenant")
+	job, err := cfg.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		sess.Finish("error")
 		os.Exit(1)
 	}
-
-	var (
-		point    tesa.DesignPoint
-		scenario tesa.Scenario
-		nDraws   int
-		opts     tesa.Options
-		cons     tesa.Constraints
-		workload tesa.Workload
-	)
-	if job != nil {
-		point, scenario, nDraws = job.SimPoint, job.Scenario, job.SimDraws
-		opts, cons, workload = job.Opts, job.Cons, job.Workload
-	} else {
-		opts = tesa.DefaultOptions()
-		if strings.EqualFold(*tech, "3d") {
-			opts.Tech = tesa.Tech3D
-		}
-		opts.FreqHz = *freqMHz * 1e6
-		opts.Grid = *grid
-		cons = tesa.DefaultConstraints()
-		cons.FPS = *fps
-		cons.TempBudgetC = *tempC
-		workload = tesa.ARVRWorkload()
-		point = tesa.DesignPoint{ArrayDim: *dim, ICSUM: *ics}
-		if len(tenants) == 0 {
-			fmt.Fprintln(os.Stderr, "no traffic: give at least one -tenant name:network:kind:rateRPS:slaSec (or -job)")
-			sess.Finish("error")
-			os.Exit(1)
-		}
-		scenario = tesa.Scenario{
-			Seed:         *seed,
-			DurationSec:  *duration,
-			ThermalDtSec: *dt,
-			Throttle:     tesa.Throttle{TripC: *trip},
-		}
-		if scenario.Throttle.TripC == 0 {
-			scenario.Throttle.TripC = cons.TempBudgetC
-		}
-		for _, spec := range tenants {
-			t, err := parseTenant(spec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				sess.Finish("error")
-				os.Exit(1)
-			}
-			scenario.Tenants = append(scenario.Tenants, t)
-		}
-		nDraws = *draws
-		if nDraws < 1 {
-			nDraws = 1
-		}
-	}
+	point, scenario, nDraws := job.SimPoint, job.Scenario, job.SimDraws
 	sess.Manifest.Set("point", fmt.Sprintf("%dx%d@%d", point.ArrayDim, point.ArrayDim, point.ICSUM))
 	sess.Manifest.Set("scenario_seed", scenario.Seed)
 	sess.Manifest.Set("draws", nDraws)
 
-	ev, err := tesa.NewEvaluator(workload, opts, cons, tesa.Models{})
+	ev, err := jobspec.NewEvaluator(job, jobspec.Runtime{Tel: sess.Tel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		sess.Finish("error")
 		os.Exit(1)
 	}
-	ev.Instrument(sess.Tel)
 
 	full, err := ev.EvaluateFull(point)
 	if err != nil {
@@ -185,7 +86,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !full.Fits {
-		fmt.Printf("%v does not fit the %.0f mm interposer\n", full.Point, cons.InterposerMM)
+		fmt.Printf("%v does not fit the %.0f mm interposer\n", full.Point, job.Cons.InterposerMM)
 		sess.Finish("no-fit")
 		os.Exit(3)
 	}

@@ -20,11 +20,12 @@
 //	           [-checkpoint ledger.ckpt] [-resume ledger.ckpt]
 //	tesa-sweep -worker http://host:9090 [-worker-name w1] [-faults spec]
 //
-// -job runs a versioned jobspec document (tesa.jobspec/v1, kind
-// "sweep") instead of per-setting flags: the same file drives this
-// command, the library, and tesa-server to bit-identical feasibility
-// counts and optima. Config flags conflict with -job; operational
-// flags (-progress, -checkpoint, -resume, -memo*, telemetry) compose.
+// The config flags and -job are two spellings of one jobspec
+// (tesa.jobspec/v1, kind "sweep"): either way the run comes from
+// Spec.Resolve, so the same spec drives this command, the library, and
+// tesa-server to bit-identical feasibility counts and optima. Config
+// flags conflict with -job; operational flags (-progress, -checkpoint,
+// -resume, -memo*, telemetry) compose.
 //
 // -thermal-fast runs both the exhaustive sweep and the annealer on the
 // fast thermal path (workspace CG, warm starts, surrogate pre-screen
@@ -99,29 +100,15 @@ import (
 	"tesa/internal/cli"
 	"tesa/internal/distrib"
 	"tesa/internal/faults"
+	"tesa/internal/jobspec"
 )
 
 func main() {
 	var (
-		tech        = flag.String("tech", "2d", "integration technology: 2d or 3d")
-		freqMHz     = flag.Float64("freq", 400, "operating frequency in MHz")
-		fps         = flag.Float64("fps", 15, "latency constraint in frames per second")
-		tempC       = flag.Float64("temp", 85, "thermal budget in Celsius")
-		full        = flag.Bool("full", false, "sweep the full Table II space instead of the validation space")
-		grid        = flag.Int("grid", 32, "thermal grid cells per side")
-		seed        = flag.Int64("seed", 1, "optimizer seed")
-		shard       = flag.Int("shard", 0, "points per sweep shard (0 = automatic)")
+		cfg         = cli.SweepFlags(flag.CommandLine)
 		ckptPath    = flag.String("checkpoint", "", "append sweep checkpoint records to this JSONL file")
 		resumePath  = flag.String("resume", "", "resume the sweep from this checkpoint file")
 		progress    = flag.Bool("progress", false, "stream live progress to stderr")
-		faultSpec   = flag.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
-		maxFailures = flag.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
-		failFast    = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
-		stageTO     = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast        = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band        = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
-		surrogate   = flag.Bool("surrogate", false, "learned ranking surrogate: order sweep shards and annealer moves best-predicted-first (results unchanged)")
-		surK        = flag.Int("surrogate-k", 0, "surrogate neighborhood size (0 = default; with -surrogate)")
 		coordinate  = flag.String("coordinate", "", "serve a distributed sweep coordinator on this address (requires -job)")
 		workerURL   = flag.String("worker", "", "join the distributed sweep coordinator at this base URL as a worker")
 		workerName  = flag.String("worker-name", "", "worker identity reported to the coordinator (default: generated)")
@@ -130,23 +117,20 @@ func main() {
 		verifyFrac  = flag.Float64("verify-frac", 0.1, "coordinator: fraction of reported shards spot re-executed (negative = off)")
 		obs         = cli.ObservabilityFlags()
 		mf          = cli.MemoFlagsRegister()
-		jobPath     = cli.JobFlag()
 	)
 	flag.Parse()
 
-	if *workerURL != "" && (*jobPath != "" || *coordinate != "") {
+	jobPath := cfg.JobPath()
+	if *workerURL != "" && (jobPath != "" || *coordinate != "") {
 		fmt.Fprintln(os.Stderr, "-worker conflicts with -job and -coordinate: workers fetch the spec from the coordinator")
 		os.Exit(2)
 	}
-	if *coordinate != "" && *jobPath == "" {
+	if *coordinate != "" && jobPath == "" {
 		fmt.Fprintln(os.Stderr, "-coordinate requires -job: the spec is what workers execute")
 		os.Exit(2)
 	}
 
-	job, err := cli.ResolveJob(*jobPath, "sweep",
-		"tech", "freq", "fps", "temp", "full", "grid", "seed", "shard",
-		"faults", "max-failures", "fail-fast", "stage-timeout",
-		"thermal-fast", "surrogate-band", "surrogate", "surrogate-k")
+	job, err := cfg.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -158,7 +142,7 @@ func main() {
 	// the same way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if job != nil && job.Deadline > 0 {
+	if job.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, job.Deadline)
 		defer cancel()
@@ -169,7 +153,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	tel := sess.Tel
 	store, memoDone, err := mf.Store()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -188,12 +171,12 @@ func main() {
 	// Distributed modes exit from inside their helpers; the rest of main
 	// is the single-process sweep-vs-annealer study.
 	if *workerURL != "" {
-		runWorkerMode(ctx, *workerURL, *workerName, *faultSpec, store, sess, finish)
+		runWorkerMode(ctx, *workerURL, *workerName, job.FaultPlan, store, sess, finish)
 	}
 	if *coordinate != "" {
 		runCoordinateMode(ctx, coordinateConfig{
 			addr:        *coordinate,
-			jobPath:     *jobPath,
+			jobPath:     jobPath,
 			ckptPath:    *ckptPath,
 			resumePath:  *resumePath,
 			leaseTTL:    *leaseTTL,
@@ -203,46 +186,13 @@ func main() {
 		}, store, sess, finish)
 	}
 
-	opts := tesa.DefaultOptions()
-	if strings.EqualFold(*tech, "3d") {
-		opts.Tech = tesa.Tech3D
-	}
-	opts.FreqHz = *freqMHz * 1e6
-	opts.Grid = *grid
-	opts.ThermalFast = *fast
-	opts.SurrogateBandC = *band
-	opts.Surrogate = *surrogate
-	opts.SurrogateK = *surK
-	cons := tesa.DefaultConstraints()
-	cons.FPS = *fps
-	cons.TempBudgetC = *tempC
-
-	space := tesa.ValidationSpace()
-	if *full {
-		space = tesa.DefaultSpace()
-	}
-	w := tesa.ARVRWorkload()
-	if job != nil {
-		// The spec is the configuration: everything the config flags
-		// would have assembled comes from the resolved job instead.
-		opts, cons, w, space = job.Opts, job.Cons, job.Workload, job.Space
-		*seed = job.Seed
-		*shard = job.ShardSize
-		*maxFailures, *failFast, *stageTO = job.MaxFailures, job.FailFast, job.StageTimeout
-		*faultSpec = job.Faults
-	}
-
-	sess.Manifest.Set("space", space.Fingerprint())
-	sess.Manifest.Set("seed", *seed)
-	sess.Manifest.Set("workload", w.Name)
-	if *faultSpec != "" {
-		sess.Manifest.Set("faults", *faultSpec)
-	}
+	sess.SetJob(job)
+	opts, cons, space := job.Opts, job.Cons, job.Space
 
 	// RunID stamps the manifest's run id into the checkpoint header, so
 	// a cold checkpoint names the manifest and trace records of the run
 	// that wrote it.
-	sweepOpt := &tesa.SweepOptions{ShardSize: *shard, MaxFailures: *maxFailures, FailFast: *failFast,
+	sweepOpt := &tesa.SweepOptions{ShardSize: job.ShardSize, MaxFailures: job.MaxFailures, FailFast: job.FailFast,
 		RunID: sess.Manifest.RunID()}
 	if *resumePath != "" {
 		f, err := os.Open(*resumePath)
@@ -277,18 +227,13 @@ func main() {
 	}
 	sweepOpt.Progress = sess.Progress(sweepOpt.Progress)
 
-	ex, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+	// One store for both evaluators: the annealer's evaluations are
+	// served from the exhaustive results.
+	rt := jobspec.Runtime{Store: store, Tel: sess.Tel}
+	ex, err := jobspec.NewEvaluator(job, rt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	ex.Instrument(tel)
-	if store != nil {
-		ex.UseMemo(store)
-	}
-	if err := cli.ApplyFaults(ex, *faultSpec, *stageTO); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 	fmt.Printf("exhaustive sweep: %d design vectors (%s, %.0f MHz, %.0f fps, %.0f C)\n",
 		space.Size(), opts.Tech, opts.FreqHz/1e6, cons.FPS, cons.TempBudgetC)
@@ -326,28 +271,18 @@ func main() {
 		fmt.Println("  no feasible configuration in this space")
 	}
 
-	op, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+	op, err := jobspec.NewEvaluator(job, rt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	op.Instrument(tel)
-	if store != nil {
-		// The same store the sweep filled: the annealer's evaluations
-		// are served from the exhaustive results.
-		op.UseMemo(store)
-	}
-	if err := cli.ApplyFaults(op, *faultSpec, *stageTO); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	optOpt := &tesa.OptimizeOptions{MaxFailures: *maxFailures, FailFast: *failFast, Parallel: mf.StartWorkers()}
+	optOpt := &tesa.OptimizeOptions{MaxFailures: job.MaxFailures, FailFast: job.FailFast, Parallel: mf.StartWorkers()}
 	if *progress {
 		optOpt.Progress = progressPrinter("anneal")
 	}
 	optOpt.Progress = sess.Progress(optOpt.Progress)
 	start = time.Now()
-	opRes, err := op.OptimizeContext(ctx, space, *seed, optOpt)
+	opRes, err := op.OptimizeContext(ctx, space, job.Seed, optOpt)
 	switch {
 	case errors.Is(err, tesa.ErrNoFeasibleStart):
 		// Valid outcome: the annealer agrees or disagrees with the
@@ -409,12 +344,7 @@ func stderrLogf(format string, args ...any) {
 
 // runWorkerMode joins a coordinator as a sweep worker, executes leased
 // shards until the sweep completes, and exits the process.
-func runWorkerMode(ctx context.Context, coordURL, name, faultSpec string, store *tesa.MemoStore, sess *cli.Session, finish func(string)) {
-	plan, err := faults.Parse(faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+func runWorkerMode(ctx context.Context, coordURL, name string, plan *faults.Plan, store *tesa.MemoStore, sess *cli.Session, finish func(string)) {
 	sess.Manifest.Set("coordinator", coordURL)
 	stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
 		Coord:  coordURL,

@@ -13,12 +13,14 @@
 //	     [-surrogate] [-surrogate-k 8]
 //	     [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
 //
-// -job runs a versioned jobspec document (tesa.jobspec/v1, kind
-// "optimize") instead of per-setting flags: the same file drives this
-// command, the library, and tesa-server to bit-identical results.
-// Config flags (-tech, -grid, ...) conflict with -job; operational
-// flags (-progress, -deadline, -memo*, the telemetry flags) compose
-// with it, and an explicit -deadline overrides the spec's deadline_sec.
+// The config flags (-tech, -grid, ...) and -job are two spellings of one
+// jobspec (tesa.jobspec/v1, kind "optimize"): the flags fill a spec,
+// -job reads one from a file, and either way the run comes from
+// Spec.Resolve, so the same spec drives this command, the library, and
+// tesa-server to bit-identical results. Config flags conflict with
+// -job; operational flags (-progress, -deadline, -memo*, the telemetry
+// flags) compose with it, and an explicit -deadline overrides the
+// spec's deadline_sec.
 //
 // -thermal-fast switches the search to the fast thermal path
 // (allocation-free workspace CG, warm-started solves, surrogate
@@ -72,49 +74,24 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"tesa"
 	"tesa/internal/cli"
+	"tesa/internal/jobspec"
 )
 
 func main() {
 	var (
-		tech       = flag.String("tech", "2d", "integration technology: 2d or 3d")
-		freqMHz    = flag.Float64("freq", 400, "operating frequency in MHz")
-		fps        = flag.Float64("fps", 30, "latency constraint in frames per second")
-		tempC      = flag.Float64("temp", 75, "thermal budget in Celsius")
-		powerW     = flag.Float64("power", 15, "power budget in watts")
-		interposer = flag.Float64("interposer", 8, "interposer side in mm")
-		grid       = flag.Int("grid", 32, "thermal grid cells per side during search")
-		seed       = flag.Int64("seed", 1, "optimizer seed")
-		alpha      = flag.Float64("alpha", 1, "Eq. 6 weight on MCM cost")
-		beta       = flag.Float64("beta", 1, "Eq. 6 weight on DRAM power")
-		dataflow   = flag.String("dataflow", "os", "systolic dataflow: os or ws")
-		workload   = flag.String("workload", "", "JSON workload file (default: the built-in AR/VR workload)")
-		progress   = flag.Bool("progress", false, "stream incumbent improvements to stderr")
-		deadline   = flag.Duration("deadline", 0, "abort the search after this duration (0 = none)")
-		faultSpec  = flag.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
-		maxFail    = flag.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
-		failFast   = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
-		stageTO    = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band       = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
-		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate: order candidate moves and seeds best-predicted-first (results unchanged)")
-		surK       = flag.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default; with -surrogate)")
-		obs        = cli.ObservabilityFlags()
-		mf         = cli.MemoFlagsRegister()
-		jobPath    = cli.JobFlag()
+		cfg      = cli.OptimizeFlags(flag.CommandLine)
+		progress = flag.Bool("progress", false, "stream incumbent improvements to stderr")
+		obs      = cli.ObservabilityFlags()
+		mf       = cli.MemoFlagsRegister()
 	)
 	flag.Parse()
 
-	job, err := cli.ResolveJob(*jobPath, "optimize",
-		"tech", "freq", "fps", "temp", "power", "interposer", "grid", "seed",
-		"alpha", "beta", "dataflow", "workload", "faults", "max-failures",
-		"fail-fast", "stage-timeout", "thermal-fast", "surrogate-band",
-		"surrogate", "surrogate-k")
+	job, err := cfg.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -125,9 +102,9 @@ func main() {
 	// down promptly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if dl := cli.JobDeadline(job, *deadline); dl > 0 {
+	if job.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, dl)
+		ctx, cancel = context.WithTimeout(ctx, job.Deadline)
 		defer cancel()
 	}
 
@@ -136,7 +113,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	tel := sess.Tel
 	store, memoDone, err := mf.Store()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -154,80 +130,19 @@ func main() {
 		}
 	}
 
-	opts := tesa.DefaultOptions()
-	switch strings.ToLower(*tech) {
-	case "2d":
-		opts.Tech = tesa.Tech2D
-	case "3d":
-		opts.Tech = tesa.Tech3D
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tech %q\n", *tech)
-		os.Exit(2)
-	}
-	switch strings.ToLower(*dataflow) {
-	case "os":
-		opts.Dataflow = tesa.OutputStationary
-	case "ws":
-		opts.Dataflow = tesa.WeightStationary
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
-		os.Exit(2)
-	}
-	opts.FreqHz = *freqMHz * 1e6
-	opts.Grid = *grid
-	opts.Alpha, opts.Beta = *alpha, *beta
-	opts.ThermalFast = *fast
-	opts.SurrogateBandC = *band
-	opts.Surrogate = *surrogate
-	opts.SurrogateK = *surK
-	cons := tesa.Constraints{FPS: *fps, PowerBudgetW: *powerW, TempBudgetC: *tempC, InterposerMM: *interposer}
-
-	w := tesa.ARVRWorkload()
-	if *workload != "" {
-		data, err := os.ReadFile(*workload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if w, err = tesa.UnmarshalWorkload(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	space := tesa.DefaultSpace()
-	if job != nil {
-		// The spec is the configuration: everything the config flags
-		// would have assembled comes from the resolved job instead.
-		opts, cons, w, space = job.Opts, job.Cons, job.Workload, job.Space
-		*seed = job.Seed
-		*maxFail, *failFast, *stageTO = job.MaxFailures, job.FailFast, job.StageTimeout
-		*faultSpec = job.Faults
-	}
-	ev, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+	ev, err := jobspec.NewEvaluator(job, jobspec.Runtime{Store: store, Tel: sess.Tel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ev.Instrument(tel)
-	if store != nil {
-		ev.UseMemo(store)
-	}
-	if err := cli.ApplyFaults(ev, *faultSpec, *stageTO); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sess.Manifest.Set("space", space.Fingerprint())
-	sess.Manifest.Set("seed", *seed)
-	sess.Manifest.Set("workload", w.Name)
-	if *faultSpec != "" {
-		sess.Manifest.Set("faults", *faultSpec)
-	}
+	sess.SetJob(job)
+	opts, cons, w, space := job.Opts, job.Cons, job.Workload, job.Space
 
 	fmt.Printf("TESA: %s MCM at %.0f MHz for the %d-DNN %s workload\n", opts.Tech, opts.FreqHz/1e6, len(w.Networks), w.Name)
 	fmt.Printf("constraints: %.0f fps, %.0f W, %.0f C, %.0fx%.0f mm interposer\n\n",
 		cons.FPS, cons.PowerBudgetW, cons.TempBudgetC, cons.InterposerMM, cons.InterposerMM)
 
-	optOpt := &tesa.OptimizeOptions{MaxFailures: *maxFail, FailFast: *failFast, Parallel: mf.StartWorkers()}
+	optOpt := &tesa.OptimizeOptions{MaxFailures: job.MaxFailures, FailFast: job.FailFast, Parallel: mf.StartWorkers()}
 	if *progress {
 		optOpt.Progress = func(p tesa.Progress) {
 			if p.Improved && p.Incumbent != nil {
@@ -239,7 +154,7 @@ func main() {
 	optOpt.Progress = sess.Progress(optOpt.Progress)
 
 	start := time.Now()
-	res, err := ev.OptimizeContext(ctx, space, *seed, optOpt)
+	res, err := ev.OptimizeContext(ctx, space, job.Seed, optOpt)
 	switch {
 	case errors.Is(err, tesa.ErrNoFeasibleStart):
 		// res carries the exploration counters; reported below.

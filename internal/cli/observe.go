@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"tesa"
+	"tesa/internal/jobspec"
 	"tesa/internal/telemetry"
 )
 
@@ -105,6 +106,17 @@ func (o *Observability) Setup(command string, sum io.Writer) (*Session, error) {
 	}
 	srv.PublishManifest(s.Manifest.Snapshot())
 	return s, nil
+}
+
+// SetJob records a search job's run-defining facts on the manifest:
+// the space fingerprint, the seed, the workload, and the fault spec.
+func (s *Session) SetJob(r *jobspec.Resolved) {
+	s.Manifest.Set("space", r.Space.Fingerprint())
+	s.Manifest.Set("seed", r.Seed)
+	s.Manifest.Set("workload", r.Workload.Name)
+	if r.Faults != "" {
+		s.Manifest.Set("faults", r.Faults)
+	}
 }
 
 // Progress wraps a command's progress callback so every update is also

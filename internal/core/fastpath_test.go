@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -126,12 +127,12 @@ func TestSurrogateGateFullModeBypass(t *testing.T) {
 func TestFastPathIdenticalWinner(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := fastEvaluator(t, Tech2D, 400, 15, 85)
-	fastRes, err := fast.Optimize(space, 3)
+	fastRes, err := fast.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.UseMemo(coldStore)
-	coldRes, err := cold.Optimize(space, 3)
+	coldRes, err := cold.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 	warm.UseMemo(warmStore)
 	tel := telemetry.New(nil)
 	warm.Instrument(tel)
-	warmRes, err := warm.Optimize(space, 3)
+	warmRes, err := warm.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 func TestMemoSharedStoreConcurrentEvaluators(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -71,7 +72,7 @@ func TestOptimizeEmitsTrace(t *testing.T) {
 	tel := telemetry.New(telemetry.NewJSONLSink(&buf))
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
 	e.Instrument(tel)
-	res, err := e.Optimize(ValidationSpace(), 1)
+	res, err := e.OptimizeContext(context.Background(), ValidationSpace(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,3 +411,14 @@ func TestRunDeadline(t *testing.T) {
 		t.Errorf("deadline_sec did not cancel the job: %v", err)
 	}
 }
+
+// TestParetoWeights pins the weight schedule: cost-only to DRAM-only,
+// with zero weights clamped so the objective stays well-defined.
+func TestParetoWeights(t *testing.T) {
+	want := [][2]float64{{1, 1e-9}, {0.5, 0.5}, {1e-9, 1}}
+	for i, w := range want {
+		if a, b := ParetoWeights(i, len(want)); a != w[0] || b != w[1] {
+			t.Errorf("ParetoWeights(%d, 3) = (%g, %g), want (%g, %g)", i, a, b, w[0], w[1])
+		}
+	}
+}

@@ -158,19 +158,10 @@ func runPareto(ctx context.Context, r *Resolved, rt Runtime) (*Result, error) {
 	seen := map[core.DesignPoint]bool{}
 	poisoned := map[core.DesignPoint]bool{}
 	for i := 0; i < r.ParetoPoints; i++ {
-		// Sweep the weight angle from cost-only to DRAM-only, exactly as
-		// cmd/tesa-pareto does (the spec's own alpha/beta are ignored —
-		// a pareto job traces the whole front).
-		frac := float64(i) / float64(r.ParetoPoints-1)
+		// The spec's own alpha/beta are ignored: a pareto job traces the
+		// whole front.
 		opts := r.Opts
-		opts.Alpha = 1 - frac
-		opts.Beta = frac
-		if opts.Alpha == 0 {
-			opts.Alpha = 1e-9 // keep the objective well-defined
-		}
-		if opts.Beta == 0 {
-			opts.Beta = 1e-9
-		}
+		opts.Alpha, opts.Beta = ParetoWeights(i, r.ParetoPoints)
 		ev, err := newEvaluator(r, opts, rt)
 		if err != nil {
 			return nil, err
@@ -209,6 +200,22 @@ func runPareto(ctx context.Context, r *Resolved, rt Runtime) (*Result, error) {
 	// Front stays in weight order; objectives are not comparable across
 	// weight settings, so there is no overall Best for a pareto job.
 	return out, nil
+}
+
+// ParetoWeights is the (alpha, beta) of weight setting i of n on a
+// weight front: the weight angle sweeps from cost-only (i = 0) to
+// DRAM-only (i = n-1). A zero weight is clamped to 1e-9 to keep the
+// Eq. (6) objective well-defined. n must be at least 2.
+func ParetoWeights(i, n int) (alpha, beta float64) {
+	frac := float64(i) / float64(n-1)
+	alpha, beta = 1-frac, frac
+	if alpha == 0 {
+		alpha = 1e-9
+	}
+	if beta == 0 {
+		beta = 1e-9
+	}
+	return alpha, beta
 }
 
 // runParetoNSGA2 is the true multi-objective front: one NSGA-II
