@@ -354,8 +354,8 @@ const ModelVersion = core.ModelVersion
 // Memoization (internal/memo). A MemoStore caches pipeline
 // sub-evaluations (systolic profiles, SRAM estimates, schedules,
 // coverage maps, whole DSE evaluations) under content-addressed keys.
-// Options.Memo gives each evaluator a private store; attach one
-// explicitly with Evaluator.UseMemo to share it across evaluators —
+// Every evaluator gets a private store; attach one explicitly with
+// Evaluator.UseMemo to share it across evaluators —
 // e.g. an exhaustive sweep and the annealer validating against it —
 // and warm it from disk with LoadMemoDir:
 //

@@ -453,14 +453,12 @@ func benchSweepEval(b *testing.B, label, memoDir string, parallel bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var store *tesa.MemoStore
+		store := ev.Memo()
 		memoDone := func() error { return nil }
 		if memoDir != "" {
-			store = tesa.NewMemoStore()
 			if memoDone, err = tesa.LoadMemoDir(store, memoDir); err != nil {
 				b.Fatal(err)
 			}
-			ev.UseMemo(store)
 		}
 		optOpt := &tesa.OptimizeOptions{}
 		if parallel {
@@ -482,6 +480,7 @@ func benchSweepEval(b *testing.B, label, memoDir string, parallel bool) {
 		// reported objective/cost/latency; the temperature at the CLI's
 		// 2-decimal precision (warm-started CG state may move its last
 		// bits).
+		st := store.Stats()
 		rec = map[string]any{
 			"path":          label,
 			"parallel":      parallel,
@@ -491,11 +490,8 @@ func benchSweepEval(b *testing.B, label, memoDir string, parallel bool) {
 			"latency_ms":    res.Best.MakespanSec * 1e3,
 			"temp_c":        fmt.Sprintf("%.2f", res.Best.PeakTempC),
 			"evals_per_sec": float64(res.Evaluations) / elapsed.Seconds(),
-		}
-		if store != nil {
-			st := store.Stats()
-			rec["memo_hit_rate"] = st.HitRate()
-			rec["memo_loaded"] = st.Loaded
+			"memo_hit_rate": st.HitRate(),
+			"memo_loaded":   st.Loaded,
 		}
 	}
 	b.Logf("%s: winner %v, objective %v", label, rec["winner"], rec["objective"])
@@ -609,9 +605,10 @@ func BenchmarkSweepSearch(b *testing.B) {
 }
 
 // BenchmarkSweepEval is the end-to-end acceptance benchmark of the
-// memoization layer: the same default-corner search on the PR's
-// fast-path baseline, then memo-cold (fresh persistent store, pooled
-// chains), then memo-warm (second invocation over the same -memo-dir).
+// memoization layer: the same default-corner search on the fast-path
+// baseline (the evaluator's private in-memory store, sequential chain
+// schedule), then memo-cold (fresh persistent store, pooled chains),
+// then memo-warm (second invocation over the same -memo-dir).
 // The warm leg must re-derive the identical winner at least 5x faster
 // than the baseline. Run with -benchtime 1x so the cold leg really is
 // cold and the warm leg really reloads the cold leg's segments.

@@ -17,13 +17,13 @@
 //	            [-pprof addr] [-metrics-addr addr] [-manifest run.jsonl]
 //	            [-thermal-fast] [-surrogate-band 3]
 //	            [-surrogate] [-surrogate-k 8]
-//	            [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	            [-memo-dir .tesa-memo] [-starts-parallel]
 //
 // The config flags and -job are two spellings of one jobspec
 // (tesa.jobspec/v1, kind "pareto"): either way the run comes from
 // Spec.Resolve, so the same spec drives this command, the library, and
 // tesa-server to an identical front. Config flags conflict with -job;
-// operational flags (-progress, -memo*, telemetry) compose with it.
+// operational flags (-progress, -memo-dir, telemetry) compose with it.
 //
 // -surrogate enables the learned ranking surrogate: an online model
 // trained from completed evaluations (and replayed from -memo-dir
@@ -38,13 +38,15 @@
 // -surrogate-band guard band); the traced front is unchanged, only
 // wall-clock time drops.
 //
-// -memo shares one content-addressed memo store across all weight
-// settings: the Eq. 6 weights enter the objective, not the pipeline
-// stages, so the frequency-independent sub-results (systolic profiles,
-// SRAM estimates, schedules, thermal coverage) computed for the first
-// weight are reused by every later one. -memo-dir persists the store
-// across invocations; -starts-parallel pools the annealing chains.
-// The traced front is identical with or without the flags.
+// All weight settings share one content-addressed memo store: the Eq. 6
+// weights enter the objective, not the pipeline stages, so the
+// frequency-independent sub-results (systolic profiles, SRAM estimates,
+// schedules, thermal coverage) computed for the first weight are reused
+// by every later one. -memo-dir persists the store across invocations
+// without changing the front. -starts-parallel pools the annealing
+// chains; each weight's objective is unchanged, but a tie between chains
+// that end on distinct designs of equal objective can resolve to a
+// different front point.
 //
 // With the telemetry flags, all weight settings share one hub, so the
 // -metrics summary aggregates stage timings across the whole front and
@@ -110,7 +112,7 @@ func main() {
 		os.Exit(1)
 	}
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Fprintf(os.Stderr, "memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)

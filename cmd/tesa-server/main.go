@@ -35,7 +35,11 @@
 // and whole evaluations: the service gets faster as it serves. Results
 // stay bit-identical to single-shot CLI runs of the same spec — memo
 // sharing changes wall-clock time, never numbers. -memo-dir persists
-// the store across restarts.
+// the store across restarts. -starts-parallel pools the annealing
+// chains of every optimize and pareto job: objectives match a CLI run of the same spec,
+// but a tie between chains that end on distinct designs of equal
+// objective can resolve to a different design than the CLI's default
+// schedule reports (a CLI run with -starts-parallel agrees exactly).
 //
 // -metrics-addr serves the shared observability surface (/metrics
 // Prometheus text, /debug/vars, /progress, /debug/pprof) for the whole
@@ -85,9 +89,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// The whole point of the service is cross-request warmth: the memo
-	// store is always on, -memo-dir adds persistence across restarts.
-	mf.Enable = true
+	// The whole point of the service is cross-request warmth: one memo
+	// store serves every job, -memo-dir adds persistence across restarts.
 	store, memoDone, err := mf.Store()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -193,7 +196,7 @@ func main() {
 		}
 	}
 
-	if obs.Metrics && store != nil {
+	if obs.Metrics {
 		fmt.Printf("memo: %+v\n", store.Stats().KindStats)
 	}
 	sess.Finish(status)

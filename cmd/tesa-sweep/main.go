@@ -14,7 +14,7 @@
 //	           [-pprof addr] [-metrics-addr addr] [-manifest run.jsonl]
 //	           [-thermal-fast] [-surrogate-band 3]
 //	           [-surrogate] [-surrogate-k 8]
-//	           [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	           [-memo-dir .tesa-memo] [-starts-parallel]
 //	tesa-sweep -coordinate :9090 -job spec.json
 //	           [-lease-ttl 10s] [-lease-shards 4] [-verify-frac 0.1]
 //	           [-checkpoint ledger.ckpt] [-resume ledger.ckpt]
@@ -25,7 +25,7 @@
 // Spec.Resolve, so the same spec drives this command, the library, and
 // tesa-server to bit-identical feasibility counts and optima. Config
 // flags conflict with -job; operational flags (-progress, -checkpoint,
-// -resume, -memo*, telemetry) compose.
+// -resume, -memo-dir, telemetry) compose.
 //
 // -thermal-fast runs both the exhaustive sweep and the annealer on the
 // fast thermal path (workspace CG, warm starts, surrogate pre-screen
@@ -38,12 +38,13 @@
 // the annealer ranks its candidate moves. With -memo-dir, the model
 // warm-starts from the persisted evaluation corpus.
 //
-// -memo shares one content-addressed memo store between the exhaustive
-// sweep and the annealer, so the annealer's evaluations are served
-// from the sweep's results; -memo-dir persists the store across
-// invocations and -starts-parallel runs the annealing chains through a
-// worker pool. All three change wall-clock time only — the feasibility
-// counts, both optima, and the agreement verdict are identical.
+// The exhaustive sweep and the annealer share one content-addressed memo
+// store, so the annealer's evaluations are served from the sweep's
+// results; -memo-dir persists the store across invocations, changing
+// wall-clock time only. -starts-parallel runs the annealing chains
+// through a worker pool: the feasibility counts and both objectives are
+// unchanged, but a tie between chains that end on distinct designs of
+// equal objective can resolve to a different annealer winner.
 //
 // By default the small validation space (64x64..128x128 arrays, coarse
 // ICS) is swept; -full sweeps the whole Table II space — the
@@ -159,7 +160,7 @@ func main() {
 		os.Exit(1)
 	}
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Printf("memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)

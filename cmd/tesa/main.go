@@ -11,14 +11,14 @@
 //	     [-metrics-addr addr] [-manifest run.jsonl]
 //	     [-thermal-fast] [-surrogate-band 3]
 //	     [-surrogate] [-surrogate-k 8]
-//	     [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	     [-memo-dir .tesa-memo] [-starts-parallel]
 //
 // The config flags (-tech, -grid, ...) and -job are two spellings of one
 // jobspec (tesa.jobspec/v1, kind "optimize"): the flags fill a spec,
 // -job reads one from a file, and either way the run comes from
 // Spec.Resolve, so the same spec drives this command, the library, and
 // tesa-server to bit-identical results. Config flags conflict with
-// -job; operational flags (-progress, -deadline, -memo*, the telemetry
+// -job; operational flags (-progress, -deadline, -memo-dir, the telemetry
 // flags) compose with it, and an explicit -deadline overrides the
 // spec's deadline_sec.
 //
@@ -38,14 +38,15 @@
 // -surrogate-k tunes the model neighborhood and the per-step ranked
 // candidate count (0 = default).
 //
-// -memo memoizes pipeline sub-results (systolic profiles, SRAM
-// estimates, schedules, coverage maps, whole evaluations) in a
-// content-addressed store shared by all annealing chains; -memo-dir
-// additionally persists the store so repeated invocations with the
-// same models warm-start from disk. -starts-parallel runs the
-// annealing chains through a worker pool. All three change wall-clock
-// time only: the winning design point and every reported number are
-// identical with or without them.
+// Pipeline sub-results (systolic profiles, SRAM estimates, schedules,
+// coverage maps, whole evaluations) are memoized in a content-addressed
+// store shared by all annealing chains; -memo-dir additionally persists
+// the store so repeated invocations with the same models warm-start
+// from disk, changing wall-clock time only. -starts-parallel runs the
+// annealing chains through a worker pool. It reaches the same objective
+// as the default schedule, but breaks ties between chains that end on
+// distinct designs of equal objective differently, so it can report a
+// different (equally good) design.
 //
 // The output reports the winning design point, its derived mesh and SRAM
 // capacity, and the full evaluation (peak temperature, power, cost, DRAM
@@ -121,7 +122,7 @@ func main() {
 	// finish finalizes the run manifest and flushes telemetry and the
 	// on-disk memo cache before any exit path (os.Exit skips defers).
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Printf("memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)

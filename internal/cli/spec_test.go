@@ -98,7 +98,7 @@ func TestOperationalFlagsComposeWithJob(t *testing.T) {
 	fs.String("resume", "", "")
 	err := fs.Parse([]string{
 		"-job", filepath.Join(testdata, "optimize.json"),
-		"-progress", "-deadline", "3s", "-memo", "-memo-dir", t.TempDir(), "-starts-parallel",
+		"-progress", "-deadline", "3s", "-memo-dir", t.TempDir(), "-starts-parallel",
 		"-metrics", "-trace", "t.jsonl", "-pprof", "localhost:0", "-metrics-addr", "localhost:0",
 		"-manifest", "m.jsonl", "-checkpoint", "c.ckpt", "-resume", "c.ckpt",
 	})

@@ -134,7 +134,7 @@ type Options struct {
 	// flag): an online k-NN/RBF regressor over design-point feature
 	// vectors, trained incrementally from this process's completed
 	// evaluations (plus the memo store's corpus, including -memo-dir
-	// replays, when memoization is on), ranks annealer candidate moves,
+	// replays), ranks annealer candidate moves,
 	// multi-start seed pools, and sweep shard interiors
 	// best-predicted-first. Every proposal the ranking makes is still
 	// evaluated by the real pipeline and reported winners are always
@@ -147,16 +147,6 @@ type Options struct {
 	// annealer's candidate-move count; 0 selects the package default
 	// (surrogate.DefaultK). Only consulted when Surrogate is set.
 	SurrogateK int
-	// Memo enables the cross-point memoization layer (the CLIs'
-	// -memo flag): stage results (per-network systolic simulations, SRAM
-	// scalars, schedules, coverage maps) and whole-point DSE evaluations
-	// are served by content-addressed fingerprint from a store shared by
-	// every chain in the process. Every served value is one the plain
-	// pipeline would have computed bit-identically, so results are
-	// unchanged — off by default, like ThermalFast. NewEvaluator creates
-	// a private store; Evaluator.UseMemo attaches a shared one and
-	// LoadMemoDir adds cross-process persistence.
-	Memo bool
 }
 
 // DefaultSurrogateBandC is the default surrogate guard band (Celsius)

@@ -167,9 +167,9 @@ type Evaluator struct {
 	// temperature-rise field per thermal geometry class (see warmKey).
 	warm warmCache
 
-	// memo is the optional cross-point memoization store (nil =
-	// disabled); see UseMemo and Options.Memo. It may be shared across
-	// evaluators — keys carry configuration fingerprints.
+	// memo is the cross-point memoization store: a private one from
+	// NewEvaluator, or a shared one attached with UseMemo (keys carry
+	// configuration fingerprints).
 	memo *memo.Store
 	// sur is the online learned search ranking (nil unless
 	// Options.Surrogate); surReplay guards the one-time corpus replay
@@ -287,13 +287,9 @@ func NewEvaluator(w dnn.Workload, opts Options, cons Constraints, models Models)
 		Cons:     cons,
 		Models:   models,
 		sim:      systolic.NewSimulator(),
+		memo:     memo.NewStore(),
 		cache:    make(map[DesignPoint]*Evaluation),
 		failed:   make(map[DesignPoint]*EvalError),
-	}
-	if opts.Memo {
-		// A private store; callers that want cross-evaluator or
-		// cross-process sharing attach one with UseMemo / LoadMemoDir.
-		e.memo = memo.NewStore()
 	}
 	if opts.Surrogate {
 		e.sur = surrogate.New(opts.SurrogateK)
@@ -384,21 +380,10 @@ func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 	e.mu.Unlock()
 	e.tel.Registry().Counter("evaluator.cache.miss").Inc()
 
-	var ev *Evaluation
-	var err error
-	if e.memo != nil && e.injected == nil {
-		// Shared-store path: whole-point results flow through the memo
-		// layer (single-flight across chains and evaluators, optionally
-		// persisted). Bypassed under fault injection — injected faults
-		// must fire at this evaluator's own stage boundaries, so only the
-		// stage-level memoization inside the pipeline applies there.
-		ev, err = e.sharedEvaluate(p, full)
-	} else {
-		ev, err = e.pipeline(p, full)
-	}
+	ev, err := e.sharedEvaluate(p, full)
 	if err != nil {
 		if ee, ok := asEvalError(err); ok {
-			e.quarantine(ee)
+			return nil, e.quarantine(ee)
 		}
 		return nil, err
 	}
@@ -417,23 +402,27 @@ func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 }
 
 // quarantine records a point-local evaluation failure in the ledger
-// (first writer wins when concurrent workers race on one point) and
-// bumps the failure counters. Quarantined points count as explored —
-// subsequent Evaluate calls return the memoized error without rerunning
-// the pipeline.
-func (e *Evaluator) quarantine(ee *EvalError) {
+// (first writer wins when concurrent workers race on one point), bumps
+// the failure counters, and returns the ledger entry. Quarantined points
+// count as explored — subsequent Evaluate calls return the memoized
+// error without rerunning the pipeline.
+func (e *Evaluator) quarantine(ee *EvalError) *EvalError {
 	e.mu.Lock()
-	if _, dup := e.failed[ee.Point]; dup {
+	if prev, dup := e.failed[ee.Point]; dup {
 		e.mu.Unlock()
-		return
+		return prev
 	}
-	// Best-effort flight dump: under the shared memo store the pipeline
-	// may have run on another goroutine (single-flight), whose ring this
-	// goroutine cannot see — the trace is then whatever this goroutine
-	// last recorded, possibly nothing.
-	if ee.Trace == nil {
-		ee.Trace = e.flight.Dump()
+	// The ledger keeps its own copy: single-flight hands every waiter on
+	// a key — possibly in other evaluators sharing the store — the same
+	// *EvalError, so stamping the trace in place would race. The flight
+	// dump is best-effort: when the pipeline ran on another goroutine,
+	// whose ring this goroutine cannot see, the trace is whatever this
+	// goroutine last recorded, possibly nothing.
+	stamped := *ee
+	if stamped.Trace == nil {
+		stamped.Trace = e.flight.Dump()
 	}
+	ee = &stamped
 	e.failed[ee.Point] = ee
 	e.mu.Unlock()
 	reason := ee.Reason()
@@ -449,6 +438,7 @@ func (e *Evaluator) quarantine(ee *EvalError) {
 		fields["trace"] = ee.Trace
 	}
 	e.tel.Emit("eval.quarantined", fields)
+	return ee
 }
 
 // stageGuard closes a stage boundary: it fires any matching injected

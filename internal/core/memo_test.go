@@ -3,33 +3,16 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tesa/internal/dnn"
 	"tesa/internal/memo"
 	"tesa/internal/telemetry"
 )
-
-// memoEvaluator mirrors testEvaluator with Options.Memo enabled (a
-// fresh private store).
-func memoEvaluator(t *testing.T, tech Tech, freqMHz, fps, budgetC float64) *Evaluator {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Tech = tech
-	opts.FreqHz = freqMHz * 1e6
-	opts.Grid = 24
-	opts.Memo = true
-	cons := DefaultConstraints()
-	cons.FPS = fps
-	cons.TempBudgetC = budgetC
-	e, err := NewEvaluator(dnn.ARVRWorkload(), opts, cons, Models{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // recordJSON canonicalizes every scalar a DSE consumer reads (via the
 // persisted-record encoding, whose jf wrapper makes NaN/Inf
@@ -43,27 +26,30 @@ func recordJSON(t *testing.T, ev *Evaluation) string {
 	return string(raw)
 }
 
-// TestMemoEvaluationsBitIdentical: every evaluation served through the
-// memo store is bit-identical to the plain pipeline's — all scalars
-// (compared through the NaN-safe record encoding) and the structural
-// outputs (schedule, placement) alike, in both DSE and reporting mode.
+// TestMemoEvaluationsBitIdentical: every evaluation served through a
+// warm memo store is bit-identical to one computed from scratch. The
+// warm side is one evaluator sweeping gateSpace on one store, so later
+// points reuse the profiles, SRAM, schedule and coverage records of
+// earlier ones; the reference is a fresh evaluator per point, whose
+// empty store has nothing to serve, so every stage is computed. All
+// scalars (compared through the NaN-safe record encoding) and the
+// structural outputs (schedule, placement) must agree, in both DSE and
+// reporting mode.
 func TestMemoEvaluationsBitIdentical(t *testing.T) {
-	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	mem := memoEvaluator(t, Tech2D, 400, 15, 85)
-	if mem.Memo() == nil {
-		t.Fatal("Options.Memo did not attach a store")
-	}
-	for _, p := range gateSpace().Enumerate() {
-		rev, rerr := ref.Evaluate(p)
+	fresh := func() *Evaluator { return testEvaluator(t, Tech2D, 400, 15, 85) }
+	mem := fresh()
+	pts := gateSpace().Enumerate()
+	for _, p := range pts {
+		rev, rerr := fresh().Evaluate(p)
 		mev, merr := mem.Evaluate(p)
 		if (rerr == nil) != (merr == nil) {
-			t.Fatalf("%v: error disagreement: ref %v, memo %v", p, rerr, merr)
+			t.Fatalf("%v: error disagreement: fresh %v, warm %v", p, rerr, merr)
 		}
 		if rerr != nil {
 			continue
 		}
 		if a, b := recordJSON(t, rev), recordJSON(t, mev); a != b {
-			t.Errorf("%v: DSE evaluation diverged:\nref  %s\nmemo %s", p, a, b)
+			t.Errorf("%v: DSE evaluation diverged:\nfresh %s\nwarm  %s", p, a, b)
 		}
 		if !reflect.DeepEqual(rev.Schedule, mev.Schedule) {
 			t.Errorf("%v: schedule diverged", p)
@@ -79,8 +65,8 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	}
 	// A second evaluator sharing the store is served whole evaluations
 	// (within one evaluator, repeats stop at the local cache instead).
-	p := gateSpace().Enumerate()[0]
-	peer := testEvaluator(t, Tech2D, 400, 15, 85)
+	p := pts[0]
+	peer := fresh()
 	peer.UseMemo(mem.Memo())
 	before := mem.MemoStats().Kinds["eval"].Hits
 	pev, err := peer.Evaluate(p)
@@ -90,15 +76,15 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	if mem.MemoStats().Kinds["eval"].Hits == before {
 		t.Error("peer evaluation did not hit the eval store")
 	}
-	if rev, err := ref.Evaluate(p); err == nil {
+	if rev, err := fresh().Evaluate(p); err == nil {
 		if recordJSON(t, pev) != recordJSON(t, rev) {
-			t.Error("store-served evaluation diverged from the reference")
+			t.Error("store-served evaluation diverged from the fresh one")
 		}
 	}
 
 	// Reporting mode: full evaluations agree too, and upgrade the store
 	// entry rather than being served by a DSE record.
-	rfull, err := ref.EvaluateFull(p)
+	rfull, err := fresh().EvaluateFull(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +93,10 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := recordJSON(t, rfull), recordJSON(t, mfull); a != b {
-		t.Errorf("full evaluation diverged:\nref  %s\nmemo %s", a, b)
+		t.Errorf("full evaluation diverged:\nfresh %s\nwarm  %s", a, b)
+	}
+	if !reflect.DeepEqual(rfull.Schedule, mfull.Schedule) || !reflect.DeepEqual(rfull.Placement, mfull.Placement) {
+		t.Error("full evaluation structures diverged")
 	}
 	if mfull.Compact() {
 		t.Error("full evaluation reported compact")
@@ -116,8 +105,9 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 
 // TestMemoOptimizeIdenticalTrajectory: the optimizer's whole trajectory
 // — winner, objective, evaluation and exploration counts, and every
-// per-start result — is identical with memoization off, on, and on
-// with pooled parallel chains.
+// per-start result — is identical on a fresh store, on a store another
+// evaluator already warmed (whole evaluations served, not computed),
+// and with pooled parallel chains.
 func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
@@ -131,19 +121,27 @@ func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 
 	runs := []struct {
 		name string
+		warm bool
 		opt  *OptimizeOptions
 	}{
-		{"memo", nil},
-		{"memo+parallel", &OptimizeOptions{Parallel: 4}},
+		{"warm store", true, nil},
+		{"parallel", false, &OptimizeOptions{Parallel: 4}},
 	}
 	for _, run := range runs {
-		mem := memoEvaluator(t, Tech2D, 400, 15, 85)
+		mem := testEvaluator(t, Tech2D, 400, 15, 85)
+		if run.warm {
+			mem.UseMemo(ref.Memo())
+		}
+		before := ref.MemoStats().Kinds["eval"].Hits
 		res, err := mem.OptimizeContext(context.Background(), space, 3, run.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Found {
 			t.Fatalf("%s: found nothing", run.name)
+		}
+		if run.warm && ref.MemoStats().Kinds["eval"].Hits == before {
+			t.Errorf("%s: no evaluation was served from the warmed store", run.name)
 		}
 		if res.Best.Point != refRes.Best.Point || res.Best.Objective != refRes.Best.Objective {
 			t.Errorf("%s: winner changed: %v obj %v, want %v obj %v", run.name,
@@ -167,11 +165,12 @@ func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	}
 }
 
-// TestMemoFaultMatrixTrajectory: with a fault-injection plan armed, the
-// memoized run takes the exact same trajectory as the plain one —
-// injection decisions fire at stage boundaries per point, the
-// eval-level store is bypassed, and the quarantine ledgers match —
-// across a stack of fault specs.
+// TestMemoFaultMatrixTrajectory: with a fault-injection plan armed,
+// pooled parallel chains — which race on points and meet in the store's
+// single-flight — take the exact same trajectory as the default
+// schedule: injection decisions are per point, eval records are keyed
+// by the plan, failures are never stored, and the quarantine ledgers
+// match — across a stack of fault specs.
 func TestMemoFaultMatrixTrajectory(t *testing.T) {
 	space := tinySpace()
 	for _, spec := range []string{
@@ -183,27 +182,25 @@ func TestMemoFaultMatrixTrajectory(t *testing.T) {
 		ref.InjectFaults(injectPlan(t, spec))
 		refRes, rerr := ref.OptimizeContext(context.Background(), space, 3, nil)
 
-		for _, parallel := range []int{0, 4} {
-			mem := memoEvaluator(t, Tech2D, 400, 15, 85)
-			mem.InjectFaults(injectPlan(t, spec))
-			res, err := mem.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{Parallel: parallel})
-			if (rerr == nil) != (err == nil) {
-				t.Fatalf("%q/parallel=%d: error disagreement: ref %v, memo %v", spec, parallel, rerr, err)
-			}
-			if res.Found != refRes.Found {
-				t.Fatalf("%q/parallel=%d: found disagreement", spec, parallel)
-			}
-			if refRes.Found && (res.Best.Point != refRes.Best.Point || res.Best.Objective != refRes.Best.Objective) {
-				t.Errorf("%q/parallel=%d: winner changed under faults", spec, parallel)
-			}
-			if res.Evaluations != refRes.Evaluations || res.Quarantined != refRes.Quarantined {
-				t.Errorf("%q/parallel=%d: %d evaluations / %d quarantined, want %d / %d",
-					spec, parallel, res.Evaluations, res.Quarantined, refRes.Evaluations, refRes.Quarantined)
-			}
-			if !reflect.DeepEqual(res.Poisoned, refRes.Poisoned) {
-				t.Errorf("%q/parallel=%d: quarantine ledger diverged:\nmemo %v\nref  %v",
-					spec, parallel, res.Poisoned, refRes.Poisoned)
-			}
+		par := testEvaluator(t, Tech2D, 400, 15, 85)
+		par.InjectFaults(injectPlan(t, spec))
+		res, err := par.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{Parallel: 4})
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("%q: error disagreement: ref %v, parallel %v", spec, rerr, err)
+		}
+		if res.Found != refRes.Found {
+			t.Fatalf("%q: found disagreement", spec)
+		}
+		if refRes.Found && (res.Best.Point != refRes.Best.Point || res.Best.Objective != refRes.Best.Objective) {
+			t.Errorf("%q: winner changed under faults", spec)
+		}
+		if res.Evaluations != refRes.Evaluations || res.Quarantined != refRes.Quarantined {
+			t.Errorf("%q: %d evaluations / %d quarantined, want %d / %d",
+				spec, res.Evaluations, res.Quarantined, refRes.Evaluations, refRes.Quarantined)
+		}
+		if !reflect.DeepEqual(res.Poisoned, refRes.Poisoned) {
+			t.Errorf("%q: quarantine ledger diverged:\nparallel %v\nref      %v",
+				spec, res.Poisoned, refRes.Poisoned)
 		}
 	}
 }
@@ -323,4 +320,132 @@ func TestMemoSharedStoreConcurrentEvaluators(t *testing.T) {
 	if st := store.Stats(); st.Hits == 0 {
 		t.Errorf("shared store never hit: %+v", st)
 	}
+}
+
+// TestMemoSingleFlightDefaultEvaluator: a default evaluator — no UseMemo,
+// just the private store NewEvaluator attaches — runs the pipeline once
+// for a point that N goroutines request at the same time. The injected
+// systolic latency holds the first computation open so every other call
+// arrives while it is in flight and waits on it instead of recomputing.
+func TestMemoSingleFlightDefaultEvaluator(t *testing.T) {
+	const n = 4
+	e := testEvaluator(t, Tech2D, 400, 15, 85)
+	e.InjectFaults(injectPlan(t, "latency@systolic:delay=300ms"))
+	tel := telemetry.New(nil)
+	e.Instrument(tel)
+	p := DesignPoint{ArrayDim: 200, ICSUM: 500}
+
+	start := make(chan struct{})
+	evs := make([]*Evaluation, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			evs[i], errs[i] = e.Evaluate(p)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		if evs[i] != evs[0] {
+			t.Errorf("call %d got a different evaluation than call 0", i)
+		}
+	}
+	if runs := tel.Registry().Histogram("pipeline.total").Snapshot().Count; runs != 1 {
+		t.Errorf("pipeline ran %d times for one point, want 1", runs)
+	}
+	ks := e.MemoStats().Kinds["eval"]
+	if ks.Misses != 1 || ks.Deduped != n-1 {
+		t.Errorf("eval store: %d misses / %d deduped, want 1 / %d", ks.Misses, ks.Deduped, n-1)
+	}
+}
+
+// TestMemoSharedFailureQuarantinedPerEvaluator: two instrumented
+// evaluators share a store and evaluate one injected-failing point at
+// the same time. Single-flight hands both the same *EvalError; each
+// evaluator must still quarantine the point in its own ledger, and
+// stamping the flight trace must not write the shared error (the -race
+// target for that path).
+func TestMemoSharedFailureQuarantinedPerEvaluator(t *testing.T) {
+	const spec = "latency@systolic:delay=200ms;error@sched:dim=200"
+	store := memo.NewStore()
+	evs := []*Evaluator{testEvaluator(t, Tech2D, 400, 15, 85), testEvaluator(t, Tech2D, 400, 15, 85)}
+	for _, e := range evs {
+		e.UseMemo(store)
+		e.InjectFaults(injectPlan(t, spec))
+		e.Instrument(telemetry.New(nil))
+	}
+	p := DesignPoint{ArrayDim: 200, ICSUM: 500}
+
+	start := make(chan struct{})
+	errs := make([]error, len(evs))
+	var wg sync.WaitGroup
+	for i, e := range evs {
+		wg.Add(1)
+		go func(i int, e *Evaluator) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = e.Evaluate(p)
+		}(i, e)
+	}
+	close(start)
+	wg.Wait()
+
+	if ks := store.Stats().Kinds["eval"]; ks.Misses != 1 || ks.Deduped != 1 {
+		t.Errorf("eval store: %d misses / %d deduped, want 1 / 1 (one shared computation)", ks.Misses, ks.Deduped)
+	}
+	for i, e := range evs {
+		ee, ok := asEvalError(errs[i])
+		if !ok || ee.Stage != stageSched || ee.Point != p {
+			t.Fatalf("evaluator %d: got %v, want an EvalError at stage sched for %v", i, errs[i], p)
+		}
+		ledger := e.QuarantineLedger()
+		if len(ledger) != 1 || ledger[0].Point != p || ledger[0].Stage != stageSched || ledger[0].Reason != "error" {
+			t.Errorf("evaluator %d: ledger %v, want exactly %v at stage sched", i, ledger, p)
+		}
+		// A revisit is served from this evaluator's own ledger.
+		if _, err := e.Evaluate(p); err != errs[i] {
+			t.Errorf("evaluator %d: revisit returned %v, want the ledger entry %v", i, err, errs[i])
+		}
+	}
+}
+
+// TestOptimizeParallelTieSameObjective pins the documented difference
+// between the start schedules on a corner where it shows: the default
+// tesa corner on the fast thermal path at grid 16, seed 3. Two starts
+// end on distinct designs of equal objective; the default schedule
+// breaks that tie by start index and the pool by DesignPoint.Less, so
+// the reported design may differ, but the objective must be bit-equal.
+func TestOptimizeParallelTieSameObjective(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Grid = 16
+	opts.ThermalFast = true
+	run := func(parallel int) *OptimizeResult {
+		e, err := NewEvaluator(dnn.ARVRWorkload(), opts, DefaultConstraints(), Models{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.OptimizeContext(context.Background(), DefaultSpace(), 3, &OptimizeOptions{Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			t.Fatalf("parallel=%d found nothing", parallel)
+		}
+		return res
+	}
+	seq, pool := run(0), run(4)
+	if math.Float64bits(seq.Best.Objective) != math.Float64bits(pool.Best.Objective) {
+		t.Errorf("objectives differ: parallel=0 %v obj %v, parallel=4 %v obj %v",
+			seq.Best.Point, seq.Best.Objective, pool.Best.Point, pool.Best.Objective)
+	}
+	t.Logf("parallel=0 reports %v, parallel=4 reports %v (objective %v)",
+		seq.Best.Point, pool.Best.Point, seq.Best.Objective)
 }

@@ -24,34 +24,33 @@ import (
 // edit without a version bump as a bug.
 const ModelVersion = "tesa-models-1"
 
-// UseMemo attaches (and enables) a cross-point memoization store: stage
-// results and whole-point DSE evaluations are served by content-addressed
-// fingerprint, so evaluators sharing one store — sweep shards, annealing
-// chains, the validation experiment's exhaustive and optimizer
-// evaluators — compute each distinct input once. Every served value is
-// one a plain evaluator would have computed bit-identically, so results
-// are unchanged; only wall-clock drops. Call before the first Evaluate.
-// Options.Memo makes NewEvaluator attach a fresh private store instead.
+// UseMemo replaces the evaluator's private memoization store with a
+// shared one: stage results and whole-point DSE evaluations are served
+// by content-addressed fingerprint, so evaluators sharing one store —
+// sweep shards, annealing chains, the validation experiment's
+// exhaustive and optimizer evaluators — compute each distinct input
+// once. Every served value is one a fresh store would have computed
+// bit-identically, so results are unchanged; only wall-clock drops. A
+// nil s keeps the private store NewEvaluator attached. Call before the
+// first Evaluate.
 //
-// The store must not be shared between evaluators with different
-// workloads, options, constraints or models — keys are fingerprinted by
-// configuration, so mixing is safe but pointless — and eval-level
-// sharing is automatically bypassed while a fault-injection plan is
-// armed (stage guards must run per point for injection determinism).
-func (e *Evaluator) UseMemo(s *memo.Store) { e.memo = s }
+// Keys are fingerprinted by workload, options, constraints, models,
+// stage timeout and the armed fault-injection plan, so a store may be
+// shared between evaluators of different configurations: they simply
+// never alias whole-point records.
+func (e *Evaluator) UseMemo(s *memo.Store) {
+	if s != nil {
+		e.memo = s
+	}
+}
 
-// Memo returns the attached memoization store (nil when disabled).
+// Memo returns the evaluator's memoization store (its private one unless
+// UseMemo attached a shared one).
 func (e *Evaluator) Memo() *memo.Store { return e.memo }
 
-// MemoStats returns a snapshot of the attached store's traffic counters
-// (the zero Stats when memoization is disabled). Shared stores aggregate
-// across every attached evaluator.
-func (e *Evaluator) MemoStats() memo.Stats {
-	if e.memo == nil {
-		return memo.Stats{}
-	}
-	return e.memo.Stats()
-}
+// MemoStats returns a snapshot of the store's traffic counters. Shared
+// stores aggregate across every attached evaluator.
+func (e *Evaluator) MemoStats() memo.Stats { return e.memo.Stats() }
 
 // WarmStartStats returns the thermal warm-start cache's hit and miss
 // counts (both zero unless Options.ThermalFast ran solves).
@@ -94,23 +93,28 @@ func LoadMemoDir(store *memo.Store, dir string) (func() error, error) {
 
 // fingerprints lazily computes the evaluator's canonical configuration
 // fingerprints. cfgFP binds whole-point evaluations to everything that
-// can change one: workload content, options (with the memo and
-// surrogate switches zeroed — neither changes results), constraints,
-// every model parameter, and the stage timeout. perfFP binds the performance-model stages
-// (systolic + power decomposition + schedule), which see only the
-// workload, tech, frequency, dataflow and power parameters. netFPs
-// fingerprint each network's content for per-network systolic keys.
+// can change one: workload content, options (with the surrogate switch
+// zeroed — it never changes results), constraints, every model
+// parameter, the stage timeout, and the fault-injection plan when one is
+// armed. perfFP binds the performance-model stages (systolic + power
+// decomposition + schedule), which see only the workload, tech,
+// frequency, dataflow and power parameters. netFPs fingerprint each
+// network's content for per-network systolic keys.
 func (e *Evaluator) fingerprints() {
 	e.fpOnce.Do(func() {
 		o := e.Opts
-		o.Memo = false
-		// The surrogate, like the memo switch, never changes what an
-		// evaluation computes — it only reorders what gets evaluated
-		// first — so surrogate-on and surrogate-off runs must share memo
-		// records.
+		// The surrogate never changes what an evaluation computes — it
+		// only reorders what gets evaluated first — so surrogate-on and
+		// surrogate-off runs must share memo records.
 		o.Surrogate = false
 		o.SurrogateK = 0
-		e.cfgFP = memo.Hash("cfg", e.Workload, o, e.Cons, e.Models, int64(e.stageTimeout))
+		cfg := []any{"cfg", e.Workload, o, e.Cons, e.Models, int64(e.stageTimeout)}
+		if e.injected != nil {
+			// An injected fault changes what a point evaluates to, so
+			// records computed under a plan are keyed by it.
+			cfg = append(cfg, e.injected.String())
+		}
+		e.cfgFP = memo.Hash(cfg...)
 		e.perfFP = memo.Hash("perf", e.Workload, o.Tech, o.FreqHz, fmt.Sprint(o.Dataflow), e.Models.Power)
 		e.netFPs = make([]string, len(e.Workload.Networks))
 		for i := range e.Workload.Networks {
@@ -189,18 +193,15 @@ type profileBundle struct {
 	sumDyn     float64
 }
 
-// profilesFor returns the systolic-stage bundle for arr, through the
-// store when memoization is enabled (keyed by the performance
-// fingerprint and the array dimensions — dataflow and SRAM sizing are
-// functions of those under one fingerprint).
+// profilesFor returns the systolic-stage bundle for arr through the
+// store, keyed by the performance fingerprint and the array dimensions
+// (dataflow and SRAM sizing are functions of those under one
+// fingerprint).
 func (e *Evaluator) profilesFor(arr systolic.Array, threeD bool) (*profileBundle, error) {
-	if e.memo == nil {
-		return e.computeProfiles(arr, threeD, nil)
-	}
 	e.fingerprints()
 	key := memo.Key("profiles", e.perfFP, strconv.Itoa(arr.Rows), strconv.Itoa(arr.Cols))
 	v, hit, err := e.memo.GetOrCompute(key, func() (any, error) {
-		return e.computeProfiles(arr, threeD, e.memo)
+		return e.computeProfiles(arr, threeD)
 	})
 	e.memoCounter("profiles", hit)
 	if err != nil {
@@ -210,12 +211,12 @@ func (e *Evaluator) profilesFor(arr systolic.Array, threeD bool) (*profileBundle
 }
 
 // computeProfiles runs the systolic stage: the SRAM macro estimate, one
-// simulation per network, and the power decomposition. With a store, the
-// per-network simulations and the SRAM scalar are themselves memoized
-// (and persisted), so bundles for new configurations reuse every
-// sub-result other evaluators or prior runs computed.
-func (e *Evaluator) computeProfiles(arr systolic.Array, threeD bool, store *memo.Store) (*profileBundle, error) {
-	est, err := e.sramEstimate(arr.SRAMBytes, store)
+// simulation per network, and the power decomposition. The per-network
+// simulations and the SRAM scalar are themselves memoized (and
+// persisted), so bundles for new configurations reuse every sub-result
+// other evaluators or prior runs computed.
+func (e *Evaluator) computeProfiles(arr systolic.Array, threeD bool) (*profileBundle, error) {
+	est, err := e.sramEstimate(arr.SRAMBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +225,7 @@ func (e *Evaluator) computeProfiles(arr systolic.Array, threeD bool, store *memo
 		est:      est,
 	}
 	for i := range e.Workload.Networks {
-		st, err := e.networkStats(arr, i, store)
+		st, err := e.networkStats(arr, i)
 		if err != nil {
 			return nil, err
 		}
@@ -247,22 +248,19 @@ func (e *Evaluator) computeProfiles(arr systolic.Array, threeD bool, store *memo
 // geometry, dataflow, SRAM capacity and network content — deliberately
 // not by frequency or power parameters, so records are shared across
 // corners that only change those.
-func (e *Evaluator) networkStats(arr systolic.Array, i int, store *memo.Store) (*systolic.NetworkStats, error) {
-	if store == nil {
-		return e.sim.Simulate(arr, &e.Workload.Networks[i])
-	}
+func (e *Evaluator) networkStats(arr systolic.Array, i int) (*systolic.NetworkStats, error) {
 	key := memo.Key("systolic",
 		strconv.Itoa(arr.Rows), strconv.Itoa(arr.Cols),
 		fmt.Sprint(arr.Dataflow), strconv.FormatInt(arr.SRAMBytes, 10),
 		e.netFPs[i])
-	v, hit, err := store.GetOrCompute(key, func() (any, error) {
+	v, hit, err := e.memo.GetOrCompute(key, func() (any, error) {
 		st, err := e.sim.Simulate(arr, &e.Workload.Networks[i])
 		if err != nil {
 			return nil, err
 		}
-		if store.HasDisk() {
+		if e.memo.HasDisk() {
 			if raw, err := json.Marshal(st); err == nil {
-				_ = store.Persist(key, raw)
+				_ = e.memo.Persist(key, raw)
 			}
 		}
 		return st, nil
@@ -276,19 +274,16 @@ func (e *Evaluator) networkStats(arr systolic.Array, i int, store *memo.Store) (
 
 // sramEstimate returns the SRAM macro characterization, memoized by
 // capacity alone (the model has no other inputs).
-func (e *Evaluator) sramEstimate(bytes int64, store *memo.Store) (sram.Estimate, error) {
-	if store == nil {
-		return sram.Estimate22nm(bytes)
-	}
+func (e *Evaluator) sramEstimate(bytes int64) (sram.Estimate, error) {
 	key := memo.Key("sram", strconv.FormatInt(bytes, 10))
-	v, hit, err := store.GetOrCompute(key, func() (any, error) {
+	v, hit, err := e.memo.GetOrCompute(key, func() (any, error) {
 		est, err := sram.Estimate22nm(bytes)
 		if err != nil {
 			return nil, err
 		}
-		if store.HasDisk() {
+		if e.memo.HasDisk() {
 			if raw, err := json.Marshal(est); err == nil {
-				_ = store.Persist(key, raw)
+				_ = e.memo.Persist(key, raw)
 			}
 		}
 		return est, nil
@@ -305,9 +300,6 @@ func (e *Evaluator) sramEstimate(bytes int64, store *memo.Store) (sram.Estimate,
 // corner order) — immune to model reasoning, since equal inputs mean
 // sched.Build returns an equal schedule.
 func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*sched.Schedule, error) {
-	if e.memo == nil {
-		return sched.Build(sp, n, order)
-	}
 	key := memo.Key("sched", memo.Hash(sp, n, order))
 	v, hit, err := e.memo.GetOrCompute(key, func() (any, error) {
 		return sched.Build(sp, n, order)
@@ -325,9 +317,6 @@ func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*s
 // up to three times per point, and sweeps revisit the same few
 // geometries constantly.
 func (e *Evaluator) coverageFor(place *floorplan.Placement, grid int) []float64 {
-	if e.memo == nil {
-		return place.Coverage(grid)
-	}
 	key := memo.Key("cov", strconv.Itoa(grid), covClass(place))
 	v, hit, _ := e.memo.GetOrCompute(key, func() (any, error) {
 		return place.Coverage(grid), nil

@@ -70,13 +70,15 @@ type OptimizeOptions struct {
 	// Parallel, when > 0, bounds the multi-start worker pool (the CLIs'
 	// -starts-parallel flag): at most Parallel annealing chains run
 	// concurrently, and each chain's initialization samples are
-	// evaluated by Parallel workers too. Results are identical for any
-	// value — chains keep their per-start PRNG streams, initialization
+	// evaluated by Parallel workers too. Every value >= 1 gives the same
+	// result — chains keep their per-start PRNG streams, initialization
 	// pre-draws its samples from the chain stream before fanning out,
 	// and cross-start objective ties resolve with the deterministic
-	// DesignPoint.Less tie-break instead of start order. 0 (the default)
-	// preserves the legacy scheduling (all starts concurrent, sequential
-	// initialization, start-order ties) bit for bit.
+	// DesignPoint.Less tie-break. 0 (the default) preserves the legacy
+	// scheduling (all starts concurrent, sequential initialization)
+	// bit for bit, which breaks cross-start ties by start order instead:
+	// it reaches the same objective as the pool, but when two starts end
+	// on distinct designs of equal objective it can report the other one.
 	Parallel int
 }
 

@@ -65,7 +65,7 @@ func (e *Evaluator) trainSurrogate(ev *Evaluation) {
 // replay is lazy (first ranking consult) so it runs after LoadMemoDir
 // has seeded the store.
 func (e *Evaluator) warmSurrogate() {
-	if e.sur == nil || e.memo == nil {
+	if e.sur == nil {
 		return
 	}
 	e.surReplay.Do(func() {

@@ -13,9 +13,10 @@ import (
 // Runtime is the process-level state a job executes against. All fields
 // are optional: the zero Runtime runs the job isolated and unobserved.
 type Runtime struct {
-	// Store is the shared memoization store (nil = no memoization).
-	// tesa-server passes its process-wide store here so concurrent jobs
-	// hit each other's warm entries.
+	// Store is the shared memoization store (nil = each evaluator keeps
+	// the private store NewEvaluator gives it). tesa-server passes its
+	// process-wide store here so concurrent jobs hit each other's warm
+	// entries.
 	Store *memo.Store
 	// Tel is the shared observability hub (nil = disabled).
 	Tel *telemetry.Telemetry
@@ -71,9 +72,7 @@ func newEvaluator(r *Resolved, opts core.Options, rt Runtime) (*core.Evaluator, 
 		return nil, err
 	}
 	ev.Instrument(rt.Tel)
-	if rt.Store != nil {
-		ev.UseMemo(rt.Store)
-	}
+	ev.UseMemo(rt.Store)
 	ev.InjectFaults(r.FaultPlan)
 	if r.StageTimeout > 0 {
 		ev.SetStageTimeout(r.StageTimeout)
